@@ -29,9 +29,9 @@ from repro.bench.results import BenchResult, array_checksum
 from repro.bench.runner import _best_time
 from repro.extraction.parasitics import extract
 from repro.geometry.bus import aligned_bus
-from repro.noise.engine import NoiseConfig, run_noise_scan
+from repro.noise.engine import NoiseConfig, default_schedule, run_noise_scan
 from repro.noise.screening import screen_pairs
-from repro.noise.windows import sensitive_windows, staggered_schedule
+from repro.noise.windows import sensitive_windows
 from repro.noise.worst_case import align_all
 
 NOISE_KERNELS = (
@@ -48,9 +48,7 @@ def _screen_workload(size: int, config: NoiseConfig):
     parasitics = extract(aligned_bus(size))
 
     def run():
-        schedule = staggered_schedule(
-            size, config.period, config.switch_width, config.schedule_seed
-        )
+        schedule = default_schedule(parasitics, config)
         sensitive = sensitive_windows(schedule, config.period)
         estimates = screen_pairs(parasitics, config.screen_config)
         alignments = align_all(

@@ -106,9 +106,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["direct", "iterative"],
         default="direct",
         help="gw/nw window-solve backend: batched direct solves or "
-        "Jacobi-preconditioned CG with a direct holdout fallback "
-        "(iterative also routes escalated-victim transients through "
-        "the ILU-preconditioned iterative tier)",
+        "Jacobi-preconditioned CG with a direct holdout fallback",
     )
 
 

@@ -13,12 +13,12 @@ exact measurements.
 The harness runs in three steps (:func:`calibrate_family`):
 
 1. **Measure** (:func:`measure_exact_peaks`): build the family's
-   geometry, extract, attach the all-quiet testbench, and run one
-   batched :func:`~repro.circuit.transient.transient_analysis_multi`
-   with a single-aggressor step scenario per sampled aggressor
-   position.  Every victim's raw peak is recorded, so one batch yields
-   ``(num_aggressors x num_wires)`` exact pair measurements sharing a
-   single MNA assembly and LU factorization.
+   geometry, extract, and run one batch of the noise engine's column
+   simulator (:func:`~repro.noise.engine.simulate_columns`, the
+   all-quiet testbench) with a single-aggressor step scenario per
+   sampled aggressor position.  Every victim's raw peak is recorded, so
+   one batch yields ``(num_aggressors x num_wires)`` exact pair
+   measurements sharing a single model build and LU factorization.
 2. **Fit** (:func:`fit_envelope`): normalize each measured peak by
    ``vdd * k(a, v)`` (the wire-level inductive coupling coefficient;
    pairs below ``k_floor`` -- e.g. near-orthogonal crossbar layers --
@@ -48,14 +48,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuit.sources import step
-from repro.circuit.transient import transient_analysis_multi
-from repro.experiments.runner import ModelSpec, build_model, gw_spec
+from repro.experiments.runner import ModelSpec, gw_spec
 from repro.extraction.parasitics import Parasitics, extract
 from repro.geometry.bus import aligned_bus, nonaligned_bus
 from repro.geometry.crossbar import crossbar
 from repro.geometry.system import FilamentSystem
 from repro.health import FallbackPolicy
-from repro.noise.engine import NoiseConfig, attach_quiet_bus_testbench
+from repro.noise.engine import NoiseConfig, simulate_columns
 from repro.noise.screening import (
     KappaEnvelope,
     inductive_coupling_coefficients,
@@ -163,8 +162,11 @@ def measure_exact_peaks(
 ) -> List[CalibrationSample]:
     """One batched multi-scenario solve: a step per sampled aggressor.
 
-    All scenarios share one model build and one LU factorization; each
-    returns the exact peak at every victim's far node.
+    All scenarios share one model build (and, up to
+    :data:`~repro.noise.engine.MAX_COLUMNS_PER_SIM` of them, one LU
+    factorization) through
+    :func:`~repro.noise.engine.simulate_columns`; each returns the exact
+    peak at every victim's far node.
     """
     parasitics.validate()
     spec = spec if spec is not None else gw_spec(8)
@@ -172,33 +174,24 @@ def measure_exact_peaks(
     positions = list(aggressors)
     if any(not 0 <= a < num_wires for a in positions):
         raise ValueError("aggressor positions must index wires")
-    built = build_model(spec, parasitics, cache=cache)
-    attach_quiet_bus_testbench(
-        built.skeleton, config.driver_resistance, config.load_capacitance
-    )
-    scenarios = [
-        {f"Vdrv{a}": step(config.vdd, rise_time=config.rise_time)}
+    t_stop = config.rise_time + config.settle_time
+    columns = [
+        (
+            t_stop,
+            {f"Vdrv{a}": step(config.vdd, rise_time=config.rise_time)},
+            tuple(victim for victim in range(num_wires) if victim != a),
+        )
         for a in positions
     ]
-    probes = sorted({ports.far for ports in built.skeleton.ports.values()})
-    t_stop = config.rise_time + config.settle_time
     with stage("noise_calibration"):
-        results = transient_analysis_multi(
-            built.circuit,
-            t_stop,
-            config.dt,
-            scenarios,
-            probe_nodes=probes,
-            policy=policy,
+        waveforms, _, _ = simulate_columns(
+            parasitics, spec, config, columns, policy=policy, cache=cache
         )
     add_counter("noise_calibration_solves", len(positions))
     samples: List[CalibrationSample] = []
-    for a, result in zip(positions, results):
+    for a, probed in zip(positions, waveforms):
         peaks = np.zeros(num_wires)
-        for victim in range(num_wires):
-            if victim == a:
-                continue
-            waveform = result.voltage(built.skeleton.ports[victim].far)
+        for victim, waveform in probed.items():
             peaks[victim] = float(np.abs(np.real(waveform.v)).max())
         samples.append(CalibrationSample(aggressor=a, peaks=peaks))
     return samples

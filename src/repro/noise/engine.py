@@ -9,10 +9,20 @@ victim and every other wire as a potential aggressor:
    below the failure threshold are *screened out* -- they can never
    fail, by conservatism of the bound -- and cost nothing further.
 2. **Simulate** -- each screened-in victim becomes one scenario column
-   of a single :func:`~repro.circuit.transient.transient_analysis_multi`
-   call (its aligned aggressors launch at the alignment instant, every
-   other driver holds quiet), so the whole escalation tier shares one
-   MNA assembly and one LU factorization.
+   of :func:`simulate_escalated` (its aligned aggressors launch at the
+   alignment instant, every other driver holds quiet): one model build,
+   and one :func:`~repro.circuit.transient.transient_analysis_multi`
+   call -- one MNA assembly and LU factorization -- per chunk of at
+   most :data:`MAX_COLUMNS_PER_SIM` columns.
+3. **Assemble** -- :func:`assemble_report` merges the screen bounds and
+   the simulated metrics.
+
+The same tiers make every flow: a sweep (:mod:`repro.noise.sweep`)
+groups the screened scans of a scenario family that share a testbench
+and simulates each group as one :func:`simulate_escalated` batch, and
+the analysis service (:mod:`repro.service`) runs the screen and the
+simulation as separate work items, splitting a scan's columns across
+workers.
 
 The scan runs on any VPEC/wVPEC/PEEC model family via
 :class:`~repro.experiments.runner.ModelSpec`, memoizes whole reports in
@@ -27,8 +37,8 @@ peak deviation -- the cross-check quoted in the acceptance gate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,32 +74,16 @@ from repro.pipeline.cache import (
     parasitics_fingerprint,
 )
 from repro.pipeline.hashing import stable_hash
-from repro.pipeline.profiling import add_counter, stage
+from repro.pipeline.profiling import StageProfile, add_counter, stage
 
-#: Transient-solve policy of iterative-solver noise scans: the sparse
-#: MNA systems of the escalated-victim tiers go through the
-#: ILU-preconditioned GMRES tier *first* (at a tightened tolerance so
-#: screening / peak decisions match the direct path), with the full
-#: direct escalation chain intact underneath as the fallback.
-ITERATIVE_TRANSIENT_POLICY = FallbackPolicy(
-    prefer_iterative=True,
-    residual_rtol=1e-12,
-    gmres_rtol=1e-12,
-    gmres_restart=40,
-    gmres_maxiter=2,
-    ilu_drop_tol=1e-12,
-    ilu_fill_factor=200.0,
-)
-
-
-def _transient_policy(
-    spec: ModelSpec, policy: Optional[FallbackPolicy]
-) -> Optional[FallbackPolicy]:
-    """The caller's policy, or the iterative-first default of an
-    ``solver="iterative"`` spec when the caller passed none."""
-    if policy is None and spec.solver == "iterative":
-        return ITERATIVE_TRANSIENT_POLICY
-    return policy
+#: Column cap per batched transient call.  The per-step cost of a
+#: multi-RHS march is nearly flat up to this many columns (the LU
+#: triangular solves dominate), then grows superlinearly as the dense
+#: right-hand-side block stops fitting cache -- measured on the 64-bit
+#: bus: 8 columns cost ~1.05x of 4, but 64 columns cost ~13x.  Chunking
+#: keeps every call in the flat regime while still sharing one model
+#: build per simulated batch.
+MAX_COLUMNS_PER_SIM = 24
 
 
 @dataclass(frozen=True)
@@ -322,38 +316,62 @@ def _masked_metrics(
     return peak, area
 
 
+def default_schedule(
+    parasitics: Parasitics, config: NoiseConfig
+) -> List[Window]:
+    """Each wire's launch window when the caller gives none: the seeded
+    scattered schedule of :func:`staggered_schedule`."""
+    return list(
+        staggered_schedule(
+            parasitics.system.num_wires,
+            config.period,
+            config.switch_width,
+            seed=config.schedule_seed,
+        )
+    )
+
+
 @dataclass(frozen=True)
 class ScreenTierResult:
-    """Output of the closed-form screening tier.
+    """Output of the closed-form screening tier: one screened scan.
 
     ``alignments`` holds every victim's worst-case alignment,
     ``escalated`` the subset whose aligned bound meets the threshold
     (the victims the simulation tier must resolve), ``sensitive`` each
-    wire's sensitive :class:`WindowSet`.  The whole object is picklable,
-    so a service worker can run the screen in one process and ship the
-    outcome to simulation shards in others.
+    wire's sensitive :class:`WindowSet`, and ``horizon`` the
+    :func:`escalation_horizon` of the whole escalated set.  The object
+    carries everything the simulation and assembly tiers need and is
+    picklable, so a service worker can screen in one process and ship
+    the outcome to simulation shards in others.  A shard is a copy whose
+    ``escalated`` holds only its share of the victims; ``horizon`` stays
+    the full set's, so every shard integrates the same time grid.
     """
 
     alignments: Tuple[Alignment, ...]
     escalated: Tuple[Alignment, ...]
     sensitive: Tuple[WindowSet, ...]
     seconds: float
+    config: NoiseConfig
+    switching: Tuple[Window, ...]
+    horizon: float
 
 
 @dataclass(frozen=True)
 class EscalationTierResult:
-    """Output of one (possibly sharded) simulation-tier run.
+    """Output of one simulation-tier batch.
 
-    ``metrics`` maps victim wire -> (peak, area) over its sensitive
-    windows.  Shards simulated separately against the same ``t_stop``
-    merge by dict union: every scenario column is an independent RHS of
-    the shared factorization, so a shard's columns are bit-identical to
-    the same columns of one full batch.
+    ``metrics[k]`` maps each escalated victim wire of the batch's
+    ``k``-th screened scan to its (peak, area) over its sensitive
+    windows.  Every column is an independent RHS of the shared
+    factorization, truncated to its own scan's horizon, so any split of
+    the columns -- service shards, sweep groups, chunks -- yields
+    bit-identical metrics, which merge by dict union.
     """
 
-    metrics: Dict[int, Tuple[float, float]]
+    metrics: List[Dict[int, Tuple[float, float]]]
     build_seconds: float
     sim_seconds: float
+    profile: Optional[StageProfile] = None
 
 
 def screen_tier(
@@ -390,6 +408,13 @@ def screen_tier(
         escalated=escalated,
         sensitive=tuple(sensitive),
         seconds=time.perf_counter() - start,
+        config=config,
+        switching=tuple(switching),
+        horizon=(
+            escalation_horizon(escalated, config, switching)
+            if escalated
+            else 0.0
+        ),
     )
 
 
@@ -398,12 +423,8 @@ def escalation_horizon(
     config: NoiseConfig,
     switching: Sequence[Window],
 ) -> float:
-    """Shared simulation end time of an escalation batch.
-
-    Computed over the *whole* escalated set, never per shard: every
-    shard must integrate the same time grid for its masked metrics (and
-    hence checksums) to match the unsharded batch exactly.
-    """
+    """Simulation end time of a scan's escalated set: the latest
+    aggressor launch plus one rise time and the settle time."""
     launches = [
         max(_launch_time(a.time, switching[agg]) for agg in a.aggressors)
         for a in escalated
@@ -411,66 +432,137 @@ def escalation_horizon(
     return max(launches) + config.rise_time + config.settle_time
 
 
-def simulate_escalated(
+def _truncated(waveform: Waveform, horizon: float, dt: float) -> Waveform:
+    """The waveform an independent scan at ``horizon`` would produce.
+
+    The integrator's grid is ``arange(steps + 1) * dt`` -- sample times
+    are exact multiples of ``dt`` independent of ``t_stop`` -- and time
+    marching is forward-only, so the first samples of a longer batch
+    are bit-identical to a shorter run's.  Truncating a shared-batch
+    waveform to the scan's own step count therefore reproduces the
+    independent scan exactly.  The samples are copied, so the batch's
+    full recording block can be freed.
+    """
+    steps = int(np.ceil(horizon / dt))
+    return Waveform(
+        t=waveform.t[: steps + 1], v=waveform.v[: steps + 1].copy()
+    )
+
+
+#: One column of :func:`simulate_columns`: the horizon to integrate to,
+#: the ``Vdrv{wire}`` stimuli it overrides on the quiet bus, and the
+#: wires whose far-end waveforms it records.
+Column = Tuple[float, Mapping[str, Stimulus], Sequence[int]]
+
+
+def simulate_columns(
     parasitics: Parasitics,
     spec: ModelSpec,
     config: NoiseConfig,
-    switching: Sequence[Window],
-    sensitive: Sequence[WindowSet],
-    escalated: Sequence[Alignment],
-    t_stop: float,
-    policy: Optional[FallbackPolicy] = None,
-    cache: Optional[PipelineCache] = None,
-) -> EscalationTierResult:
-    """Tier 2: one batched simulation, one scenario column per victim.
+    columns: Sequence[Column],
+    policy: Optional[FallbackPolicy],
+    cache: Optional[PipelineCache],
+) -> Tuple[List[Dict[int, Waveform]], float, float]:
+    """The batched column simulator of the noise flow.
 
-    ``escalated`` may be any subset of the screen tier's escalated set
-    (a service shard); pass the full set's :func:`escalation_horizon`
-    as ``t_stop`` so shards share one time grid.
+    Builds the model and its quiet-bus testbench once, sorts the columns
+    by horizon and chunks them into
+    :func:`~repro.circuit.transient.transient_analysis_multi` calls of
+    at most :data:`MAX_COLUMNS_PER_SIM` columns, each integrated to its
+    own largest horizon -- short columns never pay for the longest, and
+    every call stays in the flat per-step cost regime.  Each recorded
+    waveform is truncated back to its column's horizon, so it is
+    bit-identical to simulating that column alone.
+
+    Returns the far-end waveforms per column (input order), keyed by
+    wire, plus the model-build and simulation seconds.
     """
     built = build_model(spec, parasitics, cache=cache)
     attach_quiet_bus_testbench(
         built.skeleton, config.driver_resistance, config.load_capacitance
     )
-    scenarios = []
-    for a in escalated:
-        scenarios.append(
-            {
-                f"Vdrv{agg}": step(
-                    config.vdd,
-                    rise_time=config.rise_time,
-                    delay=_launch_time(a.time, switching[agg]),
+    ports = built.skeleton.ports
+    order = sorted(range(len(columns)), key=lambda i: columns[i][0])
+    waveforms: List[Dict[int, Waveform]] = [{} for _ in columns]
+    sim_seconds = 0.0
+    for lo in range(0, len(order), MAX_COLUMNS_PER_SIM):
+        chunk = order[lo: lo + MAX_COLUMNS_PER_SIM]
+        probes = sorted(
+            {ports[wire].far for i in chunk for wire in columns[i][2]}
+        )
+        sim_start = time.perf_counter()
+        with stage("noise_escalation"):
+            # Ascending order: the chunk's last column has its largest
+            # horizon.
+            results = transient_analysis_multi(
+                built.circuit,
+                columns[chunk[-1]][0],
+                config.dt,
+                [columns[i][1] for i in chunk],
+                probe_nodes=probes,
+                policy=policy,
+            )
+        sim_seconds += time.perf_counter() - sim_start
+        for i, result in zip(chunk, results):
+            horizon, _, wires = columns[i]
+            for wire in wires:
+                waveforms[i][wire] = _truncated(
+                    result.voltage(ports[wire].far), horizon, config.dt
                 )
-                for agg in a.aggressors
-            }
+    return waveforms, built.build_seconds, sim_seconds
+
+
+def simulate_escalated(
+    parasitics: Parasitics,
+    spec: ModelSpec,
+    screens: Sequence[ScreenTierResult],
+    policy: Optional[FallbackPolicy] = None,
+    cache: Optional[PipelineCache] = None,
+) -> EscalationTierResult:
+    """Tier 2: one :func:`simulate_columns` batch over the escalated
+    victims of ``screens``.
+
+    The screened scans must share one testbench circuit (same
+    parasitics, driver, load, supply, rise time and step).  Every
+    escalated victim becomes one column integrated to its own scan's
+    horizon, with its aligned aggressors launched at the alignment
+    instant, so the metrics are bit-identical to an independent scan
+    of each screened scan.
+    """
+    owners = [
+        (index, a)
+        for index, screen in enumerate(screens)
+        for a in screen.escalated
+    ]
+    columns: List[Column] = []
+    for index, a in owners:
+        config = screens[index].config
+        stimuli = {
+            f"Vdrv{agg}": step(
+                config.vdd,
+                rise_time=config.rise_time,
+                delay=_launch_time(a.time, screens[index].switching[agg]),
+            )
+            for agg in a.aggressors
+        }
+        columns.append((screens[index].horizon, stimuli, (a.victim,)))
+    waveforms, build_seconds, sim_seconds = simulate_columns(
+        parasitics, spec, screens[0].config, columns, policy, cache
+    )
+    metrics: List[Dict[int, Tuple[float, float]]] = [{} for _ in screens]
+    for (index, a), probed in zip(owners, waveforms):
+        metrics[index][a.victim] = _masked_metrics(
+            probed[a.victim], screens[index].sensitive[a.victim]
         )
-    probes = sorted({built.skeleton.ports[a.victim].far for a in escalated})
-    sim_start = time.perf_counter()
-    with stage("noise_escalation"):
-        results = transient_analysis_multi(
-            built.circuit,
-            t_stop,
-            config.dt,
-            scenarios,
-            probe_nodes=probes,
-            policy=_transient_policy(spec, policy),
-        )
-    sim_seconds = time.perf_counter() - sim_start
-    metrics: Dict[int, Tuple[float, float]] = {}
-    for a, result in zip(escalated, results):
-        waveform = result.voltage(built.skeleton.ports[a.victim].far)
-        metrics[a.victim] = _masked_metrics(waveform, sensitive[a.victim])
     return EscalationTierResult(
         metrics=metrics,
-        build_seconds=built.build_seconds,
+        build_seconds=build_seconds,
         sim_seconds=sim_seconds,
     )
 
 
 def assemble_report(
     spec: ModelSpec,
-    config: NoiseConfig,
-    switching: Sequence[Window],
     screen: ScreenTierResult,
     metrics: Dict[int, Tuple[float, float]],
     build_seconds: float = 0.0,
@@ -501,9 +593,9 @@ def assemble_report(
         )
     return NoiseScanReport(
         spec_label=spec.label,
-        config=config,
+        config=screen.config,
         victims=[victims[i] for i in sorted(victims)],
-        switching=list(switching),
+        switching=list(screen.switching),
         build_seconds=build_seconds,
         screen_seconds=screen.seconds,
         sim_seconds=sim_seconds,
@@ -541,24 +633,20 @@ def run_noise_scan(
     """Scan every victim of a parasitic model under timing windows.
 
     ``switching`` gives each wire's driver *launch* window; by default
-    the seeded scattered schedule of :func:`staggered_schedule`.  The
-    feasibility/alignment algebra widens each launch window by the
-    wire's Elmore delay plus slew (the output keeps transitioning after
-    the input settles); the simulated realization launches each aligned
-    aggressor at the alignment instant clamped into its own launch
-    window.
+    :func:`default_schedule`.  The feasibility/alignment algebra widens
+    each launch window by the wire's Elmore delay plus slew (the output
+    keeps transitioning after the input settles); the simulated
+    realization launches each aligned aggressor at the alignment
+    instant clamped into its own launch window.
     """
     parasitics.validate()
     spec = spec if spec is not None else gw_spec(8)
     num_wires = parasitics.system.num_wires
-    if switching is None:
-        switching = staggered_schedule(
-            num_wires,
-            config.period,
-            config.switch_width,
-            seed=config.schedule_seed,
-        )
-    switching = list(switching)
+    switching = list(
+        switching
+        if switching is not None
+        else default_schedule(parasitics, config)
+    )
     if len(switching) != num_wires:
         raise ValueError(
             f"switching must have one window per wire ({num_wires}), "
@@ -588,44 +676,24 @@ def _run_noise_scan_cold(
     verify: bool,
     cache: Optional[PipelineCache],
 ) -> NoiseScanReport:
-    # --- Tier 1: closed-form screen + worst-case alignment. ---
     screen = screen_tier(parasitics, config, switching)
-    escalated = screen.escalated
-
-    metrics: Dict[int, Tuple[float, float]] = {}
-    build_seconds = 0.0
-    sim_seconds = 0.0
-    t_stop = 0.0
-    if escalated:
-        # --- Tier 2: one batched simulation, one scenario per victim. ---
-        t_stop = escalation_horizon(escalated, config, switching)
-        tier = simulate_escalated(
-            parasitics,
-            spec,
-            config,
-            switching,
-            screen.sensitive,
-            escalated,
-            t_stop,
-            policy=policy,
-            cache=cache,
-        )
-        metrics = tier.metrics
-        build_seconds = tier.build_seconds
-        sim_seconds = tier.sim_seconds
-
-    report = assemble_report(
-        spec, config, switching, screen, metrics, build_seconds, sim_seconds
+    if not screen.escalated:
+        return assemble_report(spec, screen, {})
+    tier = simulate_escalated(
+        parasitics, spec, [screen], policy=policy, cache=cache
     )
-    if verify and escalated:
+    report = assemble_report(
+        spec, screen, tier.metrics[0], tier.build_seconds, tier.sim_seconds
+    )
+    if verify:
         by_victim = {v.wire: i for i, v in enumerate(report.victims)}
-        for a in escalated:
+        for a in screen.escalated:
             index = by_victim[a.victim]
             deviation = _verify_victim(
                 parasitics, spec, config, switching,
                 screen.sensitive[a.victim],
-                a, report.victims[index].sim_peak or 0.0, t_stop, policy,
-                cache,
+                a, report.victims[index].sim_peak or 0.0, screen.horizon,
+                policy, cache,
             )
             report.victims[index] = replace(
                 report.victims[index], verify_deviation=deviation
@@ -676,7 +744,7 @@ def _verify_victim(
         t_stop,
         config.dt,
         probe_nodes=[probe],
-        policy=_transient_policy(spec, policy),
+        policy=policy,
     )
     peak, _ = _masked_metrics(result.voltage(probe), sensitive)
     scale = max(abs(peak), 1e-30)

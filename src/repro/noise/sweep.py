@@ -15,13 +15,14 @@ existing pipeline plumbing:
   so scenarios that differ only in electrical knobs (driver strength,
   schedule density) share one extraction and one model build;
 - scenarios that share a testbench circuit (same geometry, driver,
-  supply, time step) merge their escalated victims into shared
-  :func:`~repro.circuit.transient.transient_analysis_multi` batches --
-  the per-step cost of a multi-RHS march is nearly flat in the column
-  count, so merging k near-boundary scenarios into one call costs
-  about one scan instead of k (see ``BENCH_noise_sweep.json``);
-  waveforms truncate back to each scenario's own horizon, keeping
-  results bit-identical to independent scans.
+  supply, time step) merge their escalated victims into one
+  :func:`~repro.noise.engine.simulate_escalated` batch -- the same
+  simulator an independent scan uses.  The per-step cost of a
+  multi-RHS march is nearly flat in the column count, so merging k
+  near-boundary scenarios into one call costs about one scan instead
+  of k (see ``BENCH_noise_sweep.json``); waveforms truncate back to
+  each scenario's own horizon, keeping results bit-identical to
+  independent scans.
 
 The merged :class:`SweepReport` reports distribution-level results:
 per-topology-family peak/margin quantiles, an escalation-rate histogram
@@ -44,28 +45,29 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bench.results import array_checksum
-from repro.circuit.sources import step
-from repro.circuit.transient import transient_analysis_multi
-from repro.circuit.waveform import Waveform
 from repro.constants import DRIVER_RESISTANCE
 from repro.experiments.jobs import GeometrySpec, fan_out, geometry_spec
-from repro.experiments.runner import ModelSpec, build_model
+from repro.experiments.runner import ModelSpec
 from repro.health import FallbackPolicy
 from repro.noise.engine import (
+    MAX_COLUMNS_PER_SIM,
+    EscalationTierResult,
     NoiseConfig,
     NoiseScanReport,
     ScreenTierResult,
-    _launch_time,
-    _masked_metrics,
     assemble_report,
-    attach_quiet_bus_testbench,
-    escalation_horizon,
+    default_schedule,
     noise_scan_key,
     screen_tier,
+    simulate_escalated,
 )
-from repro.noise.windows import Window, staggered_schedule
 from repro.pipeline.cache import PipelineCache, cached_extract
 from repro.pipeline.profiling import StageProfile, add_counter, collect, stage
+
+# Not called in this module: noisebench/tracing.py wraps these two names
+# here, so they stay importable from it.
+from repro.circuit.transient import transient_analysis_multi  # noqa: F401
+from repro.experiments.runner import build_model  # noqa: F401
 
 #: Topologies a sweep can exercise (``width`` means bus bits, or wires
 #: per layer for a crossbar).
@@ -78,16 +80,6 @@ ESCALATION_BINS = tuple(np.round(np.linspace(0.0, 1.0, 11), 2))
 #: Screen-conservatism (screen bound / simulated peak) bin edges.  The
 #: first bin catches would-be non-conservative victims (< 1).
 CONSERVATISM_BINS = (0.0, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, float("inf"))
-
-#: Column cap per batched transient call.  The per-step cost of a
-#: multi-RHS march is nearly flat up to this many columns (the LU
-#: triangular solves dominate), then grows superlinearly as the dense
-#: right-hand-side block stops fitting cache -- measured on the 64-bit
-#: bus: 8 columns cost ~1.05x of 4, but 64 columns cost ~13x.  Sharding
-#: keeps every call in the flat regime while still sharing one model
-#: build per group.
-MAX_COLUMNS_PER_SIM = 24
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -244,18 +236,14 @@ class _ScreenedScenario:
     Fully picklable, so the screen fans out over the pool and the
     parent regroups the outcomes for the batched simulation phase.
     ``report`` is set when the content-addressed cache already holds
-    the scenario's finished scan (nothing left to simulate).
+    the scenario's finished scan (nothing left to simulate); otherwise
+    ``screen`` holds the screened scan.
     """
 
     scenario: Scenario
-    config: NoiseConfig
-    switching: List[Window]
     key: Optional[str]
     report: Optional[NoiseScanReport] = None
     screen: Optional[ScreenTierResult] = None
-    #: The scenario's *own* escalation horizon -- the exact ``t_stop``
-    #: an independent scan would integrate to.
-    horizon: float = 0.0
     seconds: float = 0.0
     profile: Optional[StageProfile] = None
 
@@ -271,14 +259,7 @@ def _screen_scenario(
     with collect() as profile:
         parasitics = cached_extract(scenario.geometry().build(), cache=cache)
         config = scenario.config(base)
-        switching = list(
-            staggered_schedule(
-                parasitics.system.num_wires,
-                config.period,
-                config.switch_width,
-                seed=config.schedule_seed,
-            )
-        )
+        switching = default_schedule(parasitics, config)
         key: Optional[str] = None
         if cache is not None:
             key = noise_scan_key(parasitics, model, config, switching, False)
@@ -286,26 +267,16 @@ def _screen_scenario(
             if cached is not None:
                 return _ScreenedScenario(
                     scenario=scenario,
-                    config=config,
-                    switching=switching,
                     key=key,
                     report=cached,
                     seconds=time.perf_counter() - start,
                     profile=profile,
                 )
         screen = screen_tier(parasitics, config, switching)
-        horizon = (
-            escalation_horizon(screen.escalated, config, switching)
-            if screen.escalated
-            else 0.0
-        )
     return _ScreenedScenario(
         scenario=scenario,
-        config=config,
-        switching=switching,
         key=key,
         screen=screen,
-        horizon=horizon,
         seconds=time.perf_counter() - start,
         profile=profile,
     )
@@ -319,28 +290,16 @@ def _group_key(item: _ScreenedScenario) -> Tuple:
     stimulus columns, so their escalated victims merge into one
     multi-RHS batch.
     """
+    assert item.screen is not None
+    config = item.screen.config
     return (
         item.scenario.geometry(),
-        item.config.driver_resistance,
-        item.config.load_capacitance,
-        item.config.dt,
-        item.config.vdd,
-        item.config.rise_time,
+        config.driver_resistance,
+        config.load_capacitance,
+        config.dt,
+        config.vdd,
+        config.rise_time,
     )
-
-
-def _truncated(waveform: Waveform, horizon: float, dt: float) -> Waveform:
-    """The waveform an independent scan at ``horizon`` would produce.
-
-    The integrator's grid is ``arange(steps + 1) * dt`` -- sample times
-    are exact multiples of ``dt`` independent of ``t_stop`` -- and time
-    marching is forward-only, so the first samples of a longer batch
-    are bit-identical to a shorter run's.  Truncating the shared-batch
-    waveform to the scenario's own step count therefore reproduces the
-    independent scan exactly.
-    """
-    steps = int(np.ceil(horizon / dt))
-    return Waveform(t=waveform.t[: steps + 1], v=waveform.v[: steps + 1])
 
 
 def _simulate_group(
@@ -348,105 +307,25 @@ def _simulate_group(
     model: ModelSpec,
     cache: Optional[PipelineCache],
     policy: Optional[FallbackPolicy] = None,
-) -> "_GroupResult":
-    """Phase B: batched multi-RHS simulation for a whole group.
-
-    Every scenario contributes one column per escalated victim; the
-    whole group shares one model build and one testbench circuit.
-    Columns are sorted by scenario horizon and sharded into chunks of
-    at most :data:`MAX_COLUMNS_PER_SIM`, each chunk one
-    :func:`~repro.circuit.transient.transient_analysis_multi` call
-    integrated only to its own largest horizon -- short scenarios never
-    pay for the group's longest, and every call stays in the flat
-    per-step cost regime.  Each scenario's metrics are taken on
-    waveforms truncated back to its own horizon, so merged results stay
-    bit-identical to independent scans.
-    """
+) -> EscalationTierResult:
+    """Phase B: one compatibility group as one
+    :func:`~repro.noise.engine.simulate_escalated` batch, which shares
+    a single model build across the whole group."""
     with collect() as profile:
-        first = group[0]
-        parasitics = cached_extract(
-            first.scenario.geometry().build(), cache=cache
-        )
-        built = build_model(model, parasitics, cache=cache)
-        attach_quiet_bus_testbench(
-            built.skeleton,
-            first.config.driver_resistance,
-            first.config.load_capacitance,
-        )
-        scenarios_cols: List[Dict[str, object]] = []
-        owners: List[Tuple[int, int]] = []
-        for index, item in enumerate(group):
+        screens: List[ScreenTierResult] = []
+        for item in group:
             assert item.screen is not None
-            for a in item.screen.escalated:
-                scenarios_cols.append(
-                    {
-                        f"Vdrv{agg}": step(
-                            item.config.vdd,
-                            rise_time=item.config.rise_time,
-                            delay=_launch_time(a.time, item.switching[agg]),
-                        )
-                        for agg in a.aggressors
-                    }
-                )
-                owners.append((index, a.victim))
-        add_counter("noise_sweep_batched_columns", len(scenarios_cols))
-        # Shard by ascending horizon: deterministic, and chunks of
-        # short-horizon columns integrate fewer steps.
-        order = sorted(
-            range(len(owners)),
-            key=lambda i: (group[owners[i][0]].horizon, owners[i]),
+            screens.append(item.screen)
+        columns = sum(len(screen.escalated) for screen in screens)
+        add_counter("noise_sweep_batched_columns", columns)
+        add_counter("noise_sweep_sim_calls", -(-columns // MAX_COLUMNS_PER_SIM))
+        parasitics = cached_extract(
+            group[0].scenario.geometry().build(), cache=cache
         )
-        chunks = [
-            order[lo: lo + MAX_COLUMNS_PER_SIM]
-            for lo in range(0, len(order), MAX_COLUMNS_PER_SIM)
-        ]
-        add_counter("noise_sweep_sim_calls", len(chunks))
-        sim_seconds = 0.0
-        metrics: List[Dict[int, Tuple[float, float]]] = [{} for _ in group]
-        for chunk in chunks:
-            t_stop = max(group[owners[i][0]].horizon for i in chunk)
-            probes = sorted(
-                {built.skeleton.ports[owners[i][1]].far for i in chunk}
-            )
-            sim_start = time.perf_counter()
-            with stage("noise_escalation"):
-                results = transient_analysis_multi(
-                    built.circuit,
-                    t_stop,
-                    first.config.dt,
-                    [scenarios_cols[i] for i in chunk],
-                    probe_nodes=probes,
-                    policy=policy,
-                )
-            sim_seconds += time.perf_counter() - sim_start
-            for i, result in zip(chunk, results):
-                index, victim = owners[i]
-                item = group[index]
-                assert item.screen is not None
-                waveform = _truncated(
-                    result.voltage(built.skeleton.ports[victim].far),
-                    item.horizon,
-                    item.config.dt,
-                )
-                metrics[index][victim] = _masked_metrics(
-                    waveform, item.screen.sensitive[victim]
-                )
-    return _GroupResult(
-        metrics=metrics,
-        build_seconds=built.build_seconds,
-        sim_seconds=sim_seconds,
-        profile=profile,
-    )
-
-
-@dataclass
-class _GroupResult:
-    """Phase-B output: per-scenario metrics of one batched group."""
-
-    metrics: List[Dict[int, Tuple[float, float]]]
-    build_seconds: float
-    sim_seconds: float
-    profile: Optional[StageProfile] = None
+        tier = simulate_escalated(
+            parasitics, model, screens, policy=policy, cache=cache
+        )
+    return replace(tier, profile=profile)
 
 
 @dataclass
@@ -652,7 +531,7 @@ def assemble_sweep_results(
     grid: SweepGrid,
     screened: List[_ScreenedScenario],
     group_list: List[List[_ScreenedScenario]],
-    group_results: List[_GroupResult],
+    group_results: List[EscalationTierResult],
     cache: Optional[PipelineCache] = None,
 ) -> List[ScenarioResult]:
     """Phase C: merge screen bounds and batched metrics, fill the cache.
@@ -662,46 +541,26 @@ def assemble_sweep_results(
     independent scan of any grid point is a cache hit.  Results come
     back in ``screened`` (grid) order.
     """
-    metrics_of = {
-        id(item): (group_result.metrics[index], group_result)
-        for group, group_result in zip(group_list, group_results)
+    simulated = {
+        id(item): (tier.metrics[index], tier.build_seconds, tier.sim_seconds)
+        for group, tier in zip(group_list, group_results)
         for index, item in enumerate(group)
     }
     results: List[ScenarioResult] = []
     for item in screened:
-        if item.report is not None:
-            results.append(
-                ScenarioResult(
-                    scenario=item.scenario,
-                    report=item.report,
-                    seconds=item.seconds,
-                )
+        report = item.report
+        if report is None:
+            assert item.screen is not None
+            report = assemble_report(
+                grid.model,
+                item.screen,
+                *simulated.get(id(item), ({}, 0.0, 0.0)),
             )
-            continue
-        assert item.screen is not None
-        metrics: Dict[int, Tuple[float, float]] = {}
-        build_seconds = 0.0
-        sim_seconds = 0.0
-        if id(item) in metrics_of:
-            metrics, group_result = metrics_of[id(item)]
-            build_seconds = group_result.build_seconds
-            sim_seconds = group_result.sim_seconds
-        report = assemble_report(
-            grid.model,
-            item.config,
-            item.switching,
-            item.screen,
-            metrics,
-            build_seconds,
-            sim_seconds,
-        )
-        if cache is not None and item.key is not None:
-            cache.put("noise", item.key, report)
+            if cache is not None and item.key is not None:
+                cache.put("noise", item.key, report)
         results.append(
             ScenarioResult(
-                scenario=item.scenario,
-                report=report,
-                seconds=item.seconds,
+                scenario=item.scenario, report=report, seconds=item.seconds
             )
         )
     return results
@@ -723,11 +582,11 @@ def run_sweep(
        then the closed-form screen tier.
     2. **Simulate** -- unresolved scenarios regroup by simulation
        compatibility (same geometry, model, driver, supply, step): each
-       group's escalated victims become columns of *one*
-       :func:`~repro.circuit.transient.transient_analysis_multi` call
-       sharing a single MNA assembly and LU factorization.  Waveforms
-       truncate back to each scenario's own horizon, so results are
-       bit-identical to independent per-scenario scans.
+       group's escalated victims become the columns of *one*
+       :func:`~repro.noise.engine.simulate_escalated` batch sharing a
+       single model build.  Waveforms truncate back to each scenario's
+       own horizon, so results are bit-identical to independent
+       per-scenario scans.
     3. **Assemble** -- per-scenario reports merge screen bounds and
        simulated metrics, and are stored in the cache under the exact
        key :func:`~repro.noise.engine.run_noise_scan` uses -- a later

@@ -13,17 +13,18 @@ engine over a worker executor:
   -- and every simulation shard -- attaches zero-copy.  Extraction is
   single-flighted per geometry key, so a burst of identical requests
   costs one extraction.
-- **Sharding**: a noise job runs its screen tier as one work item,
-  then partitions the escalated victims across the pool
+- **One tiered plan for noise and sweep jobs** (screen -> group ->
+  simulate -> assemble, see :meth:`AnalysisService._execute_plan`):
+  a noise job screens as one work item, then partitions the escalated
+  victims across the pool
   (:func:`~repro.service.workers.shard_alignments`), every shard
   simulating against the same global horizon so the merged report is
-  bit-identical to the one-shot scan.
-- **Sweep jobs** carry a whole design-space grid
-  (:class:`~repro.noise.sweep.SweepGrid`): scenarios screen in grid
-  order with one streamed progress event each, compatibility groups
-  batch-simulate through the sweep engine's multi-RHS path, and the
-  merged :class:`~repro.noise.sweep.SweepReport` payload is
-  checksum-identical to ``repro noise sweep``.
+  bit-identical to the one-shot scan.  A sweep job carries a whole
+  design-space grid (:class:`~repro.noise.sweep.SweepGrid`): scenarios
+  screen in grid order with one streamed progress event each, each
+  compatibility group simulates as one work item, and the merged
+  :class:`~repro.noise.sweep.SweepReport` payload is checksum-identical
+  to ``repro noise sweep``.
 - **Result memo**: finished results are memoized by request content
   key -- a repeated request is answered from memory with its original
   checksum.
@@ -45,14 +46,14 @@ import asyncio
 import json
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.extraction.capacitance import CapacitanceModel
 from repro.extraction.constants import COPPER_RESISTIVITY
 from repro.health.errors import NumericalHealthError
-from repro.noise.engine import assemble_report, escalation_horizon
+from repro.noise.engine import assemble_report
 from repro.noise.sweep import (
     SweepReport,
     assemble_sweep_results,
@@ -361,8 +362,6 @@ class AnalysisService:
 
     async def _ensure_parasitics(self, record: JobRecord) -> Tuple[str, str]:
         """Publish the request's parasitics into shared memory (once)."""
-        assert self._executor is not None
-        loop = asyncio.get_running_loop()
         key = self._parasitics_key(record.request)
         segment = self.shm.segment_name(key)
         if segment is not None:
@@ -375,8 +374,7 @@ class AnalysisService:
             await self._emit(
                 record, {"event": "progress", "stage": "extract"}
             )
-            parasitics = await loop.run_in_executor(
-                self._executor,
+            parasitics = await self._work(
                 _workers.extract_worker,
                 record.request.geometry,
                 self.config.cache_dir,
@@ -384,94 +382,18 @@ class AnalysisService:
             segment = self.shm.put(key, parasitics)
             return key, segment
 
-    async def _execute_sweep(self, record: JobRecord) -> Dict[str, Any]:
-        """Run a design-space sweep job with per-scenario progress.
-
-        Scenarios screen one executor item at a time, in grid order --
-        the per-scenario progress stream is deterministic, and the
-        cancel flag is honored at every scenario boundary (and again at
-        every simulation-group boundary).  Screening is cheap relative
-        to the batched group simulations, so serializing it costs
-        little; the groups themselves reuse the exact sweep internals
-        (:func:`~repro.noise.sweep.group_unresolved` /
-        :func:`~repro.noise.sweep.assemble_sweep_results`), keeping the
-        service's payload checksum-identical to the one-shot
-        :func:`~repro.service.workers.oneshot_result` path.
-        """
+    def _work(self, fn: Any, *args: Any) -> "asyncio.Future[Any]":
+        """Run one work item on the executor."""
         assert self._executor is not None
-        loop = asyncio.get_running_loop()
-        grid = record.request.sweep
-        assert grid is not None
-        start = time.perf_counter()
-        scenarios = grid.scenarios()
-        screened = []
-        for index, scenario in enumerate(scenarios):
-            record.check_cancelled()
-            await self._emit(
-                record,
-                {
-                    "event": "progress",
-                    "stage": "scenario",
-                    "index": index,
-                    "total": len(scenarios),
-                    "label": scenario.label,
-                },
-            )
-            screened.append(
-                await loop.run_in_executor(
-                    self._executor,
-                    _workers.sweep_screen_worker,
-                    scenario,
-                    grid.base,
-                    grid.model,
-                    self.config.cache_dir,
-                )
-            )
-        group_list = group_unresolved(screened)
-        group_results = []
-        for index, group in enumerate(group_list):
-            record.check_cancelled()
-            await self._emit(
-                record,
-                {
-                    "event": "progress",
-                    "stage": "simulate_group",
-                    "index": index,
-                    "total": len(group_list),
-                    "scenarios": [item.scenario.label for item in group],
-                },
-            )
-            group_results.append(
-                await loop.run_in_executor(
-                    self._executor,
-                    _workers.sweep_group_worker,
-                    group,
-                    grid.model,
-                    self.config.cache_dir,
-                )
-            )
-        record.check_cancelled()
-        results = assemble_sweep_results(
-            grid,
-            screened,
-            group_list,
-            group_results,
-            cache=_workers._disk_cache(self.config.cache_dir),
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args
         )
-        report = SweepReport(
-            grid=grid,
-            results=results,
-            seconds=time.perf_counter() - start,
-        )
-        return _workers.sweep_payload(report)
 
     async def _execute(self, record: JobRecord) -> Dict[str, Any]:
-        assert self._executor is not None
-        loop = asyncio.get_running_loop()
         request = record.request
         record.check_cancelled()
         if request.op == "sweep":
-            return await self._execute_sweep(record)
+            return await self._execute_plan(record, None)
         key, segment = await self._ensure_parasitics(record)
 
         if request.op == "extract":
@@ -484,8 +406,7 @@ class AnalysisService:
             await self._emit(
                 record, {"event": "progress", "stage": "simulate"}
             )
-            return await loop.run_in_executor(
-                self._executor,
+            return await self._work(
                 _workers.simulate_worker,
                 segment,
                 request.model,
@@ -493,79 +414,136 @@ class AnalysisService:
                 self.config.cache_dir,
             )
 
-        # --- Tiered noise scan, sharded across the pool. ---
         if request.verify:
             # The verify tier re-simulates victims one by one through
             # the independent path; it is a cross-check, not a serving
             # workload, so it runs as one unsharded work item.
-            return await loop.run_in_executor(
-                self._executor,
-                _workers.oneshot_worker,
-                request,
-                self.config.cache_dir,
+            return await self._work(
+                _workers.oneshot_worker, request, self.config.cache_dir
             )
-        parasitics = self.shm.get(key)
-        assert parasitics is not None
-        config = request.noise
-        switching = _workers.switching_schedule(parasitics, config)
-        record.check_cancelled()
-        await self._emit(record, {"event": "progress", "stage": "screen"})
-        screen = await loop.run_in_executor(
-            self._executor,
-            _workers.screen_worker,
-            segment,
-            config,
-            switching,
-        )
-        record.check_cancelled()
-        metrics: Dict[int, Tuple[float, float]] = {}
-        build_seconds = 0.0
-        sim_seconds = 0.0
-        if screen.escalated:
-            t_stop = escalation_horizon(screen.escalated, config, switching)
-            shards = _workers.shard_alignments(
-                screen.escalated, self.config.shard_count()
-            )
-            await self._emit(
-                record,
-                {
-                    "event": "progress",
-                    "stage": "simulate",
-                    "escalated": len(screen.escalated),
-                    "shards": len(shards),
-                },
-            )
-            futures = [
-                loop.run_in_executor(
-                    self._executor,
-                    _workers.sim_shard_worker,
-                    segment,
-                    request.model,
-                    config,
-                    switching,
-                    screen.sensitive,
-                    shard,
-                    t_stop,
-                    self.config.cache_dir,
-                )
-                for shard in shards
-            ]
-            tiers = await asyncio.gather(*futures)
+        return await self._execute_plan(record, segment)
+
+    async def _execute_plan(
+        self, record: JobRecord, segment: Optional[str]
+    ) -> Dict[str, Any]:
+        """Run a noise or sweep job: screen -> group -> simulate -> assemble.
+
+        A noise job is one scan on the shared-memory ``segment``: one
+        screen work item, then its escalated columns split round-robin
+        across :meth:`ServiceConfig.shard_count` simulate work items.  A
+        sweep screens its scenarios one work item at a time in grid
+        order -- the per-scenario progress stream is deterministic and
+        the cancel flag is honored at every scenario boundary -- then
+        simulates each compatibility group
+        (:func:`~repro.noise.sweep.group_unresolved`) as one work item.
+        Both assemble exactly as the one-shot
+        :func:`~repro.service.workers.oneshot_result` path does, so the
+        payloads are checksum-identical to it.
+        """
+        cache_dir = self.config.cache_dir
+        request = record.request
+        grid = request.sweep
+        start = time.perf_counter()
+        if grid is not None:
+            units: List[Any] = list(grid.scenarios())
+            config, spec = grid.base, grid.model
+        else:
+            units = [segment]
+            config, spec = request.noise, request.model
+
+        screened = []
+        for index, unit in enumerate(units):
             record.check_cancelled()
-            for tier in tiers:
-                metrics.update(tier.metrics)
-                build_seconds += tier.build_seconds
-                sim_seconds += tier.sim_seconds
-        report = assemble_report(
-            request.model,
-            config,
-            switching,
-            screen,
-            metrics,
-            build_seconds,
-            sim_seconds,
+            event: Dict[str, Any] = {"event": "progress", "stage": "screen"}
+            if grid is not None:
+                event.update(
+                    stage="scenario",
+                    index=index,
+                    total=len(units),
+                    label=unit.label,
+                )
+            await self._emit(record, event)
+            screened.append(
+                await self._work(
+                    _workers.screen_worker, unit, config, spec, cache_dir
+                )
+            )
+        record.check_cancelled()
+
+        # Group: (simulation source, one list of screened scans per
+        # simulate work item, progress event).
+        groups: List[Tuple[Any, List[List[Any]], Dict[str, Any]]] = []
+        if grid is not None:
+            group_list = group_unresolved(screened)
+            groups = [
+                (
+                    group[0].scenario.geometry(),
+                    [[item.screen for item in group]],
+                    {
+                        "stage": "simulate_group",
+                        "index": index,
+                        "total": len(group_list),
+                        "scenarios": [item.scenario.label for item in group],
+                    },
+                )
+                for index, group in enumerate(group_list)
+            ]
+        else:
+            screen = screened[0]
+            if screen.escalated:
+                shards = _workers.shard_alignments(
+                    screen.escalated, self.config.shard_count()
+                )
+                groups.append((
+                    segment,
+                    [[replace(screen, escalated=tuple(s))] for s in shards],
+                    {
+                        "stage": "simulate",
+                        "escalated": len(screen.escalated),
+                        "shards": len(shards),
+                    },
+                ))
+
+        tiers = []
+        for source, batches, progress in groups:
+            record.check_cancelled()
+            await self._emit(record, {"event": "progress", **progress})
+            parts = await asyncio.gather(*(
+                self._work(
+                    _workers.escalate_worker, source, spec, batch, cache_dir
+                )
+                for batch in batches
+            ))
+            tiers.append(parts)
+        record.check_cancelled()
+
+        if grid is not None:
+            results = assemble_sweep_results(
+                grid,
+                screened,
+                group_list,
+                [parts[0] for parts in tiers],
+                cache=_workers._disk_cache(cache_dir),
+            )
+            report = SweepReport(
+                grid=grid,
+                results=results,
+                seconds=time.perf_counter() - start,
+            )
+            return _workers.sweep_payload(report)
+        parts = tiers[0] if tiers else []
+        metrics: Dict[int, Tuple[float, float]] = {}
+        for part in parts:
+            metrics.update(part.metrics[0])
+        return _workers.noise_payload(
+            assemble_report(
+                spec,
+                screen,
+                metrics,
+                sum(part.build_seconds for part in parts),
+                sum(part.sim_seconds for part in parts),
+            )
         )
-        return _workers.noise_payload(report)
 
 
 # ----------------------------------------------------------------------

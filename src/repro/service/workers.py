@@ -2,19 +2,23 @@
 
 Every function here is module-level and operates on plain picklable
 data, so the service can run it either in a worker process (via the
-pool) or inline in a thread -- the code path is identical.  Workers
-never receive a :class:`~repro.extraction.parasitics.Parasitics`
+pool) or inline in a thread -- the code path is identical.  Noise-job
+workers never receive a :class:`~repro.extraction.parasitics.Parasitics`
 object over the pipe: they receive a *shared-memory segment name* and
 attach zero-copy views (:func:`repro.service.shm.attach_parasitics`).
 
-The noise scan is *job-granular and shardable*: the screen tier runs
-as one work item, then the escalated victims are partitioned into
-shards, each simulated as an independent work item against the same
-:func:`~repro.noise.engine.escalation_horizon`.  Because every
-scenario is an independent RHS column of the shared factorization, the
-merged shard metrics are bit-identical to the one-shot
-:func:`~repro.noise.engine.run_noise_scan` -- the equivalence the
-service bench's checksums pin.
+Noise and sweep jobs run the tiered plan of :mod:`repro.noise.engine`
+(screen -> group -> simulate -> assemble) through two work items:
+:func:`screen_worker` screens one scan (a noise job's shared-memory
+parasitics, or one sweep scenario), and :func:`escalate_worker`
+simulates one batch of escalated columns.  A noise job splits its
+columns across workers (:func:`shard_alignments`); a sweep simulates
+each compatibility group as one batch.  Every column is an independent
+RHS of the shared factorization, truncated to its own scan's horizon,
+so the merged metrics are bit-identical to the one-shot
+:func:`~repro.noise.engine.run_noise_scan` and
+:func:`~repro.noise.sweep.run_sweep` -- the equivalence the service
+bench's checksums pin.
 
 :func:`oneshot_result` is the reference path: the exact computation a
 one-shot CLI invocation performs, used by the load-test bench (and the
@@ -23,13 +27,14 @@ tests) to prove service results checksum-identical to CLI results.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.analysis.signal_integrity import NoiseReport, crosstalk_report
 from repro.bench.results import array_checksum
 from repro.circuit.sources import step
+from repro.experiments.jobs import GeometrySpec as ScenarioGeometry
 from repro.experiments.runner import ModelSpec, build_model
 from repro.extraction.parasitics import Parasitics
 from repro.noise.engine import (
@@ -37,20 +42,19 @@ from repro.noise.engine import (
     NoiseConfig,
     NoiseScanReport,
     ScreenTierResult,
+    default_schedule,
     run_noise_scan,
     screen_tier,
     simulate_escalated,
 )
 from repro.noise.sweep import (
+    Scenario,
     SweepReport,
-    _GroupResult,
     _ScreenedScenario,
     _screen_scenario,
-    _simulate_group,
     run_sweep,
     sweep_report_checksum,
 )
-from repro.noise.windows import Window, staggered_schedule
 from repro.noise.worst_case import Alignment
 from repro.pipeline.cache import (
     PipelineCache,
@@ -66,20 +70,6 @@ def _disk_cache(cache_dir: Optional[str]) -> Optional[PipelineCache]:
     return resolve_cache(cache_dir, enabled=cache_dir is not None)
 
 
-def switching_schedule(
-    parasitics: Parasitics, config: NoiseConfig
-) -> List[Window]:
-    """The default scattered launch schedule of one noise request."""
-    return list(
-        staggered_schedule(
-            parasitics.system.num_wires,
-            config.period,
-            config.switch_width,
-            seed=config.schedule_seed,
-        )
-    )
-
-
 # ----------------------------------------------------------------------
 # Work items (run in pool workers or inline)
 # ----------------------------------------------------------------------
@@ -91,59 +81,49 @@ def extract_worker(
 
 
 def screen_worker(
-    segment: str, config: NoiseConfig, switching: Sequence[Window]
-) -> ScreenTierResult:
-    """Run the closed-form screening tier against shared-memory data."""
-    return screen_tier(attach_parasitics(segment), config, switching)
-
-
-def sim_shard_worker(
-    segment: str,
-    spec: ModelSpec,
+    unit: Union[str, Scenario],
     config: NoiseConfig,
-    switching: Sequence[Window],
-    sensitive: Sequence[Any],
-    shard: Sequence[Alignment],
-    t_stop: float,
+    spec: ModelSpec,
+    cache_dir: Optional[str],
+) -> Union[ScreenTierResult, _ScreenedScenario]:
+    """The screen work item of one scan.
+
+    A noise job's ``unit`` is the shared-memory segment of its
+    parasitics, screened under ``config`` and the default schedule.  A
+    sweep's ``unit`` is one :class:`~repro.noise.sweep.Scenario` under
+    the grid's base ``config``: scenarios carry their own geometry, so
+    they extract (and check for a finished scan) through the disk cache
+    rather than shared memory -- sweep grids span many geometries and
+    the cache is their sharing medium.
+    """
+    if isinstance(unit, str):
+        parasitics = attach_parasitics(unit)
+        return screen_tier(
+            parasitics, config, default_schedule(parasitics, config)
+        )
+    return _screen_scenario(
+        unit, base=config, model=spec, cache=_disk_cache(cache_dir)
+    )
+
+
+def escalate_worker(
+    source: Union[str, ScenarioGeometry],
+    spec: ModelSpec,
+    screens: Sequence[ScreenTierResult],
     cache_dir: Optional[str],
 ) -> EscalationTierResult:
-    """Simulate one shard of escalated victims against shared ``t_stop``."""
-    return simulate_escalated(
-        attach_parasitics(segment),
-        spec,
-        config,
-        switching,
-        sensitive,
-        shard,
-        t_stop,
-        cache=_disk_cache(cache_dir),
-    )
+    """The simulate work item: one batch of escalated columns.
 
-
-def sweep_screen_worker(
-    scenario: Any,
-    base: NoiseConfig,
-    spec: ModelSpec,
-    cache_dir: Optional[str],
-) -> _ScreenedScenario:
-    """Screen one sweep scenario (phase A of the batched sweep).
-
-    Scenarios carry their own geometry, so this work item extracts
-    through the disk cache rather than attaching shared memory -- sweep
-    grids span many geometries and the cache is their sharing medium.
+    ``source`` is a noise job's shared-memory segment or a sweep
+    group's scenario geometry (extracted through the disk cache).
     """
-    return _screen_scenario(
-        scenario, base=base, model=spec, cache=_disk_cache(cache_dir)
+    cache = _disk_cache(cache_dir)
+    parasitics = (
+        attach_parasitics(source)
+        if isinstance(source, str)
+        else cached_extract(source.build(), cache=cache)
     )
-
-
-def sweep_group_worker(
-    group: List[_ScreenedScenario],
-    spec: ModelSpec,
-    cache_dir: Optional[str],
-) -> _GroupResult:
-    """Batch-simulate one compatibility group of screened scenarios."""
-    return _simulate_group(group, model=spec, cache=_disk_cache(cache_dir))
+    return simulate_escalated(parasitics, spec, screens, cache=cache)
 
 
 def simulate_worker(

@@ -137,92 +137,6 @@ class TestSparseChain:
 
 
 # ----------------------------------------------------------------------
-# Iterative-first tier (spec.solver == "iterative" transient solves)
-# ----------------------------------------------------------------------
-class TestIterativeFirstTier:
-    """``prefer_iterative`` serves solves from ILU refinement, judged by
-    the componentwise (Oettli-Prager) backward error -- the normwise
-    bound is vacuous on badly row-scaled MNA systems."""
-
-    POLICY = FallbackPolicy(
-        prefer_iterative=True,
-        residual_rtol=1e-12,
-        gmres_rtol=1e-12,
-        gmres_restart=40,
-        gmres_maxiter=2,
-        ilu_drop_tol=1e-12,
-        ilu_fill_factor=200.0,
-    )
-
-    def _mna_like(self, n: int = 24, seed: int = 0):
-        # Row scales spanning ~12 decades, like conductance stamps next
-        # to unit source rows: the regime the componentwise test exists
-        # for.
-        rng = np.random.default_rng(seed)
-        base = rng.normal(size=(n, n))
-        spd = base @ base.T + n * np.eye(n)
-        scale = np.logspace(0, 12, n)
-        a = sparse.csc_matrix(spd * np.outer(scale, scale) ** 0.5)
-        return a, rng.normal(size=n) * scale
-
-    def test_serves_without_direct_factorization(self):
-        a, rhs = self._mna_like()
-        factor = factorize(a, policy=self.POLICY)
-        x = factor.solve(rhs)
-        assert factor.method in ("ilu_refine", "gmres_ilu")
-        assert "lu" not in factor.log.methods()
-        from scipy.sparse.linalg import spsolve
-
-        expected = spsolve(a, rhs)
-        np.testing.assert_allclose(x, expected, rtol=1e-8)
-
-    def test_warm_start_keeps_the_refinement_path(self):
-        a, rhs = self._mna_like(seed=1)
-        factor = factorize(a, policy=self.POLICY)
-        factor.solve(rhs)
-        # A transient loop's consecutive right-hand sides barely move;
-        # the warm start must keep later solves on the cheap tier.
-        factor.solve(rhs * (1.0 + 1e-6))
-        assert factor.method == "ilu_refine"
-        assert factor.log.methods().count("ilu_refine") == 2
-
-    def test_componentwise_error_judges_each_row_on_its_scale(self):
-        a, rhs = self._mna_like(seed=2)
-        factor = factorize(a, policy=self.POLICY)
-        from scipy.sparse.linalg import spsolve
-
-        exact = spsolve(a, rhs)
-        assert factor._componentwise_ok(exact, rhs)
-        # A perturbation invisible to the normwise bound (it only moves
-        # the small-scale rows) must be rejected componentwise.
-        wrong = exact.copy()
-        wrong[0] *= 2.0
-        assert not factor._componentwise_ok(wrong, rhs)
-
-    def test_abandonment_is_monotone(self):
-        # A zero matrix defeats every tier; the iterative-first attempt
-        # must run exactly once -- never be retried -- before the direct
-        # chain exhausts into the typed error.
-        a = sparse.csc_matrix((4, 4))
-        factor = factorize(a, policy=self.POLICY)
-        with pytest.raises(SingularMatrixError):
-            factor.solve(np.ones(4))
-        assert factor.log.methods().count("gmres_ilu") == 1
-
-    def test_column_stacks_get_per_column_warm_starts(self):
-        a, _ = self._mna_like(seed=3)
-        rng = np.random.default_rng(4)
-        rhs = rng.normal(size=(a.shape[0], 2))
-        factor = factorize(a, policy=self.POLICY)
-        x = factor.solve(rhs)
-        assert x.shape == rhs.shape
-        from scipy.sparse.linalg import spsolve
-
-        np.testing.assert_allclose(x, spsolve(a, rhs), rtol=1e-8)
-        assert set(factor._warm) == {0, 1}
-
-
-# ----------------------------------------------------------------------
 # End to end: faulted parasitics through the model builders
 # ----------------------------------------------------------------------
 class TestFaultedModels:

@@ -113,6 +113,38 @@ class TestRunNoiseScan:
         assert cache.entries("noise") == {"noise": 2}
 
 
+class TestSimulateEscalated:
+    """One batch over several screened scans: each scan's metrics equal
+    those of the scan simulated alone, because every waveform is cut
+    back to its own scan's horizon."""
+
+    def test_batch_matches_each_scan_alone(self):
+        from repro.experiments.runner import gw_spec
+        from repro.noise.engine import (
+            default_schedule,
+            screen_tier,
+            simulate_escalated,
+        )
+
+        parasitics = extract(aligned_bus(8))
+        screens = []
+        for seed, width in ((1, 10e-12), (2, 40e-12)):
+            config = NoiseConfig(
+                threshold_fraction=0.1, schedule_seed=seed, switch_width=width
+            )
+            screens.append(
+                screen_tier(
+                    parasitics, config, default_schedule(parasitics, config)
+                )
+            )
+        assert all(screen.escalated for screen in screens)
+        assert screens[0].horizon != screens[1].horizon
+        batch = simulate_escalated(parasitics, gw_spec(8), screens)
+        for index, screen in enumerate(screens):
+            alone = simulate_escalated(parasitics, gw_spec(8), [screen])
+            assert batch.metrics[index] == alone.metrics[0]
+
+
 @pytest.fixture(scope="module")
 def bus16_s1():
     """16-bit bus at 1 um spacing: tight enough that victims escalate."""
@@ -146,60 +178,3 @@ class TestAcceptance64Bit:
         for victim in report.victims:
             for window in victim.noise_windows:
                 assert 0.0 <= window.start <= window.end <= period
-
-
-class TestIterativeTransientTwins:
-    """``spec.solver == "iterative"`` routes escalated-victim transients
-    through the iterative-first sparse tier; decisions must match the
-    direct scan and peaks agree to 1e-8 on the same parasitics."""
-
-    def test_policy_selection(self):
-        from repro.experiments.runner import gw_spec
-        from repro.health import FallbackPolicy
-        from repro.noise.engine import (
-            ITERATIVE_TRANSIENT_POLICY,
-            _transient_policy,
-        )
-
-        assert (
-            _transient_policy(gw_spec(8, solver="iterative"), None)
-            is ITERATIVE_TRANSIENT_POLICY
-        )
-        assert _transient_policy(gw_spec(8), None) is None
-        explicit = FallbackPolicy()
-        assert (
-            _transient_policy(gw_spec(8, solver="iterative"), explicit)
-            is explicit
-        )
-        assert ITERATIVE_TRANSIENT_POLICY.prefer_iterative
-
-    def test_iterative_scan_matches_direct_decisions(self, bus16_s1):
-        from repro.experiments.runner import gw_spec
-
-        config = NoiseConfig(period=300e-12)
-        direct = run_noise_scan(bus16_s1, spec=gw_spec(8), config=config)
-        with collect() as profile:
-            iterative = run_noise_scan(
-                bus16_s1,
-                spec=gw_spec(8, solver="iterative"),
-                config=config,
-            )
-        assert direct.num_escalated > 0
-        # The escalated transients run on the iterative tier: thousands
-        # of time steps' worth of refinement solves against at most one
-        # direct factorization per simulated system elsewhere in the
-        # flow (the policy governs the transient loop, not e.g. DC
-        # operating points).
-        assert profile.counters["solve_ilu_refine"] > 100
-        assert profile.counters.get("solve_lu", 0) <= direct.num_escalated
-        by_wire = {v.wire: v for v in direct.victims}
-        for victim in iterative.victims:
-            twin = by_wire[victim.wire]
-            assert victim.escalated == twin.escalated
-            if victim.escalated:
-                assert victim.sim_peak == pytest.approx(
-                    twin.sim_peak, rel=1e-8
-                )
-        assert [v.wire for v in iterative.failing()] == [
-            v.wire for v in direct.failing()
-        ]

@@ -1,15 +1,17 @@
 """The analysis service: equivalence, memoization, cancellation, protocol."""
 
 import asyncio
+import math
 import threading
 import time
 
 import pytest
 
 from repro.health.errors import PassivityViolationError
-from repro.noise.engine import NoiseConfig
+from repro.noise.engine import MAX_COLUMNS_PER_SIM, NoiseConfig, run_noise_scan
 from repro.noise.sweep import SweepGrid, run_sweep, sweep_report_checksum
-from repro.pipeline.cache import PipelineCache
+from repro.pipeline.cache import PipelineCache, cached_extract
+from repro.pipeline.profiling import collect
 from repro.service import workers
 from repro.service.client import ServiceClient
 from repro.service.jobs import GeometrySpec, JobRequest
@@ -91,6 +93,72 @@ class TestEquivalence:
         final = run(main())
         assert final.status == "done"
         assert final.checksum == oneshot_result(request)["checksum"]
+
+
+#: A scan that escalates more victims than one transient call takes.
+CHUNKED = JobRequest(
+    op="noise",
+    geometry=GeometrySpec("bus", 32),
+    noise=NoiseConfig(threshold_fraction=0.15),
+)
+#: ``noise_scan_checksum`` of CHUNKED as computed when the scan still
+#: simulated all its escalated victims in a single transient call.
+CHUNKED_CHECKSUM = (
+    "8a91032a05a65738115e6be7cb17fbb580407ec347ebd022e1633c971377f193"
+)
+
+
+class TestChunkedScan:
+    """A scan past ``MAX_COLUMNS_PER_SIM`` columns runs as several
+    transient calls; the scan, a one-scenario sweep and a sharded
+    service job agree exactly, per victim."""
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        parasitics = cached_extract(CHUNKED.geometry.build(), cache=None)
+        with collect() as profile:
+            report = run_noise_scan(parasitics, CHUNKED.model, CHUNKED.noise)
+        return report, profile
+
+    def test_scan_is_chunked_and_matches_frozen_checksum(self, scan):
+        report, profile = scan
+        assert report.num_escalated > MAX_COLUMNS_PER_SIM
+        assert profile.calls["noise_escalation"] == math.ceil(
+            report.num_escalated / MAX_COLUMNS_PER_SIM
+        )
+        assert workers.noise_scan_checksum(report) == CHUNKED_CHECKSUM
+
+    def test_one_scenario_sweep_matches(self, scan):
+        report, _ = scan
+        grid = SweepGrid(
+            widths=(32,), base=CHUNKED.noise, model=CHUNKED.model
+        )
+        (result,) = run_sweep(grid, parallel=1, cache=None).results
+        for theirs, ours in zip(report.victims, result.report.victims):
+            assert theirs.wire == ours.wire
+            assert theirs.escalated == ours.escalated
+            assert theirs.effective_peak == ours.effective_peak
+            assert theirs.effective_area == ours.effective_area
+
+    def test_sharded_service_job_matches(self, scan):
+        report, _ = scan
+
+        async def main():
+            service = AnalysisService(_config(shards=3))
+            try:
+                record = await service.submit(CHUNKED)
+                return await service.wait(record.id)
+            finally:
+                await service.close()
+
+        final = run(main())
+        assert final.status == "done"
+        assert final.checksum == CHUNKED_CHECKSUM
+        for theirs, ours in zip(report.victims, final.result["victims"]):
+            assert theirs.wire == ours["wire"]
+            assert ("sim" if theirs.escalated else "screen") == ours["tier"]
+            assert theirs.effective_peak == ours["peak_V"]
+            assert theirs.effective_area == ours["area_Vs"]
 
 
 class TestMemoAndEvents:
@@ -308,7 +376,7 @@ class TestSweepJobs:
         """A cancel lands between scenarios, never mid-report."""
         screened = threading.Event()
         release = threading.Event()
-        real_screen = workers.sweep_screen_worker
+        real_screen = workers.screen_worker
 
         def slow_screen(*args):
             result = real_screen(*args)
@@ -317,7 +385,7 @@ class TestSweepJobs:
             return result
 
         monkeypatch.setattr(
-            "repro.service.workers.sweep_screen_worker", slow_screen
+            "repro.service.workers.screen_worker", slow_screen
         )
 
         async def main():

@@ -25,8 +25,9 @@ is ~33k mutual couplings in *one* group).
 
 The independent sources are additionally summarized as a sparse
 *incidence matrix* ``B`` (``size x num_sources``) so the right-hand side
-over a whole time axis is one ``B @ stimulus_matrix`` product
-(:meth:`MnaSystem.rhs_transient_batch`) and a whole scenario batch is
+over a whole time axis and a whole scenario batch is one
+``B @ stimulus_matrix`` product per scenario
+(:meth:`MnaSystem.rhs_transient_batch_multi`), and an AC scenario batch is
 one ``B @ amplitude_matrix`` product (:meth:`MnaSystem.rhs_ac_batch`) --
 the transient and AC engines then only do back-substitutions.
 
@@ -241,36 +242,50 @@ class MnaSystem:
         self.__dict__["_incidence"] = incidence
         return incidence
 
-    def stimulus_matrix(
-        self,
-        times: np.ndarray,
-        overrides: Optional[Mapping[str, Stimulus]] = None,
-    ) -> np.ndarray:
+    def stimulus_matrix(self, times: np.ndarray) -> np.ndarray:
         """``(num_sources, num_times)`` transient source values.
 
-        ``overrides`` replaces named sources' stimuli for this
-        evaluation only (the multi-scenario transient path).
+        Each row is one :meth:`Stimulus.over` call: array math for the
+        factory stimuli, per-sample ``at`` calls only for custom
+        callables.
         """
-        stims = self._resolved_stimuli(overrides)
-        return np.array(
-            [[stim.at(float(t)) for t in times] for stim in stims],
-            dtype=float,
-        ).reshape(len(stims), len(times))
+        times = np.asarray(times, dtype=float)
+        values = np.empty((len(self.stimuli), len(times)))
+        for row, stim in enumerate(self.stimuli):
+            values[row] = stim.over(times)
+        return values
 
-    def _resolved_stimuli(
-        self, overrides: Optional[Mapping[str, Stimulus]]
-    ) -> List[Stimulus]:
-        stims = list(self.stimuli)
-        if overrides:
+    def quiescent_samples(
+        self,
+        times: np.ndarray,
+        scenarios: Sequence[Mapping[str, Stimulus]],
+    ) -> int:
+        """Leading samples of ``times`` at which no source is nonzero.
+
+        Counts the samples, from the first, at which every source of
+        every scenario (base stimuli with each scenario's overrides
+        applied) is exactly ``0.0``; ``len(times)`` when all of them
+        are.  The transient engine skips integrating that silent prefix.
+        """
+        times = np.asarray(times, dtype=float)
+        base = _first_nonzero(self.stimulus_matrix(times))
+        quiet = len(times)
+        for overrides in scenarios:
+            kept = np.ones(len(self.stimuli), dtype=bool)
             for name, stim in overrides.items():
-                try:
-                    stims[self.source_index[name]] = stim
-                except KeyError:
-                    raise KeyError(
-                        f"{name!r} is not an independent source of this "
-                        "circuit"
-                    ) from None
-        return stims
+                row = self._source_column(name)
+                kept[row] = False
+                quiet = min(quiet, int(_first_nonzero(stim.over(times)[None])[0]))
+            quiet = min(quiet, int(base[kept].min(initial=len(times))))
+        return quiet
+
+    def _source_column(self, name: str) -> int:
+        try:
+            return self.source_index[name]
+        except KeyError:
+            raise KeyError(
+                f"{name!r} is not an independent source of this circuit"
+            ) from None
 
     # ------------------------------------------------------------------
     # Right-hand sides
@@ -288,21 +303,6 @@ class MnaSystem:
                 b[n2] += value
         return b
 
-    def rhs_transient_batch(
-        self,
-        times: np.ndarray,
-        overrides: Optional[Mapping[str, Stimulus]] = None,
-    ) -> np.ndarray:
-        """``(size, num_times)`` source matrix over a whole time axis.
-
-        One sparse-times-dense product replaces the per-step Python
-        loops of :meth:`rhs_transient`; the transient engine calls this
-        once and then only back-substitutes.
-        """
-        times = np.asarray(times, dtype=float)
-        values = self.stimulus_matrix(times, overrides)
-        return np.asarray(self.source_incidence() @ values)
-
     def rhs_transient_batch_multi(
         self,
         times: np.ndarray,
@@ -310,20 +310,18 @@ class MnaSystem:
     ) -> np.ndarray:
         """``(num_times, size, num_scenarios)`` source block, shared base.
 
-        Stimulus evaluation is a Python loop over ``num_sources x
-        num_times`` scalar calls -- by far the dominant per-scenario
-        cost when scenarios share most of their sources (a noise batch
-        overrides only each column's few aggressor drivers).  The base
-        trajectory is evaluated *once*; each scenario copies it and
-        re-evaluates only its overridden rows, which is bit-identical
-        to a full per-scenario evaluation because the same ``at`` calls
-        produce the replaced rows.
+        The base trajectory is evaluated *once*; each scenario copies it
+        and re-evaluates only its overridden rows, which is
+        bit-identical to a full per-scenario evaluation because the
+        same :meth:`Stimulus.over` calls produce the replaced rows.
 
         The time axis leads so that ``out[n]`` -- the ``(size,
         num_scenarios)`` slice the integrator reads every step -- is
         one contiguous block; with the time axis in the middle every
         per-step read strides across the whole array and thrashes the
-        cache once the batch outgrows it.
+        cache once the batch outgrows it.  Pass only the samples the
+        integrator will read: the block is the largest array of a
+        transient run.
         """
         times = np.asarray(times, dtype=float)
         base = self.stimulus_matrix(times)
@@ -333,14 +331,7 @@ class MnaSystem:
             if overrides:
                 values = base.copy()
                 for name, stim in overrides.items():
-                    try:
-                        row = self.source_index[name]
-                    except KeyError:
-                        raise KeyError(
-                            f"{name!r} is not an independent source of "
-                            "this circuit"
-                        ) from None
-                    values[row] = [stim.at(float(t)) for t in times]
+                    values[self._source_column(name)] = stim.over(times)
                 out[:, :, k] = (incidence @ values).T
             else:
                 out[:, :, k] = (incidence @ base).T
@@ -380,15 +371,18 @@ class MnaSystem:
         for k, overrides in enumerate(scenarios):
             column = base.copy()
             for name, phasor in overrides.items():
-                try:
-                    column[self.source_index[name]] = phasor
-                except KeyError:
-                    raise KeyError(
-                        f"{name!r} is not an independent source of this "
-                        "circuit"
-                    ) from None
+                column[self._source_column(name)] = phasor
             amplitudes[:, k] = column
         return np.asarray(self.source_incidence() @ amplitudes)
+
+
+def _first_nonzero(values: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first entry that is not ``0.0``.
+
+    Rows with none give the row length; NaN counts as nonzero.
+    """
+    active = values != 0.0
+    return np.where(active.any(axis=1), active.argmax(axis=1), values.shape[1])
 
 
 def build_mna(circuit: Circuit) -> MnaSystem:

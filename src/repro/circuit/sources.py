@@ -6,7 +6,8 @@ of an independent source:
 - ``dc``: the value used for the DC operating point (and as the transient
   value before any time-varying description kicks in);
 - ``ac``: the complex phasor applied in AC analysis (0 for quiet sources);
-- ``at(t)``: the transient value.
+- ``at(t)``: the transient value, and ``over(times)`` the same values
+  over a whole time axis at once.
 
 Factories mirror the paper's stimuli: :func:`step` (the 1-V step with
 10 ps rise time used in every transient experiment), :func:`pulse`, and
@@ -19,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,12 @@ class Stimulus:
     label:
         Short SPICE-style description used by the netlist writer
         (e.g. ``"PWL(0 0 10p 1)"``).
+    trajectory:
+        Optional array form of ``transient``: ``f(times) -> values``
+        over a float array, equal to ``transient`` at every sample bit
+        for bit.  The factories below provide it; a stimulus with a
+        custom ``transient`` and no ``trajectory`` is evaluated sample
+        by sample.
     """
 
     dc: float = 0.0
@@ -45,12 +54,29 @@ class Stimulus:
         default=None, compare=False
     )
     label: str = ""
+    trajectory: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, compare=False
+    )
 
     def at(self, t: float) -> float:
         """Transient value at time ``t`` (seconds)."""
         if self.transient is None:
             return self.dc
         return self.transient(t)
+
+    def over(self, times: np.ndarray) -> np.ndarray:
+        """Transient values at every entry of ``times``, as float64.
+
+        Equals ``[self.at(t) for t in times]`` exactly: the array
+        evaluator when there is one, a constant ``dc`` when there is no
+        transient description, the scalar ``at`` otherwise.
+        """
+        times = np.asarray(times, dtype=float)
+        if self.transient is None:
+            return np.full(times.shape, self.dc, dtype=float)
+        if self.trajectory is not None:
+            return np.asarray(self.trajectory(times), dtype=float)
+        return np.array([self.transient(float(t)) for t in times], dtype=float)
 
     def __repr__(self) -> str:
         parts = [f"dc={self.dc}"]
@@ -99,8 +125,18 @@ def step(
             return v_final
         return v_initial + swing * (t - delay) / rise_time
 
+    def trajectory(t: np.ndarray) -> np.ndarray:
+        # Same operations in the same order as ``waveform``, branch by
+        # branch, so every sample is bit-identical to the scalar form.
+        ramp = v_initial + swing * (t - delay) / rise_time
+        out = np.where(t >= delay + rise_time, v_final, ramp)
+        return np.where(t <= delay, v_initial, out)
+
     label = f"PWL(0 {v_initial:g} {delay + rise_time:g} {v_final:g})"
-    return Stimulus(dc=v_initial, ac=swing, transient=waveform, label=label)
+    return Stimulus(
+        dc=v_initial, ac=swing, transient=waveform, label=label,
+        trajectory=trajectory,
+    )
 
 
 def pulse(
@@ -133,8 +169,25 @@ def pulse(
             return v2 + (v1 - v2) * (local - rise_time - width) / fall_time
         return v1
 
+    def trajectory(t: np.ndarray) -> np.ndarray:
+        # Branch-for-branch copy of ``waveform``: later branches are
+        # written first so earlier ones take precedence, as in the
+        # scalar ``if`` chain.  ``np.remainder`` is Python's ``%``.
+        local = t - delay
+        if math.isfinite(cycle):
+            local = np.remainder(local, cycle)
+        rising = v1 + (v2 - v1) * local / rise_time
+        falling = v2 + (v1 - v2) * (local - rise_time - width) / fall_time
+        out = np.where(local < rise_time + width + fall_time, falling, v1)
+        out = np.where(local < rise_time + width, v2, out)
+        out = np.where(local < rise_time, rising, out)
+        return np.where(t < delay, v1, out)
+
     label = (
         f"PULSE({v1:g} {v2:g} {delay:g} {rise_time:g} {fall_time:g} {width:g}"
         + (f" {cycle:g})" if math.isfinite(cycle) else ")")
     )
-    return Stimulus(dc=v1, ac=v2 - v1, transient=waveform, label=label)
+    return Stimulus(
+        dc=v1, ac=v2 - v1, transient=waveform, label=label,
+        trajectory=trajectory,
+    )

@@ -13,6 +13,29 @@ the mechanism behind the paper's PEEC-vs-VPEC runtime comparison: the
 factorization (and each back-substitution) is cheap exactly when the
 reactive/ resistive stamps stay sparse.
 
+There is one stepping core, :func:`transient_analysis_multi`; the
+single-scenario :func:`transient_analysis` is its one-column case.  The
+core
+
+- evaluates every source trajectory with array math
+  (:meth:`~repro.circuit.sources.Stimulus.over`) and forms the
+  right-hand sides as one incidence-matrix product;
+- skips the *quiescent prefix*: while every source of every scenario is
+  exactly ``0.0`` and the initial state is zero, each step maps the zero
+  state to itself, so the steps before the first active sample are not
+  integrated -- their samples are the initial state, broadcast.  The
+  recorded waveforms equal a full march up to the sign of zero (a
+  zero state times anything sums to ``+0.0`` in the next step, so the
+  first integrated step sees exactly the full march's inputs).  A
+  nonzero initial state gets no skip: it is not an exact floating-point
+  fixed point of the one-step map;
+- builds the right-hand-side block only from the last quiet sample on,
+  which bounds the largest array of a run by the active window.
+
+The ``transient_steps`` profiling counter keeps counting every step of
+the time axis per scenario (integrated or skipped);
+``transient_quiescent_steps`` counts the skipped ones.
+
 The initial condition is the DC operating point with the sources at their
 ``t = 0`` transient values.
 """
@@ -98,53 +121,20 @@ def transient_analysis(
         Fallback policy of the left-hand-side factorization (resilient
         by default): LU -> Tikhonov retry -> GMRES + ILU, with typed
         errors when the chain is exhausted.
+
+    This is the one-scenario case of :func:`transient_analysis_multi`.
     """
-    if t_stop <= 0 or dt <= 0:
-        raise ValueError("t_stop and dt must be positive")
-    if t_stop < dt:
-        raise ValueError("t_stop must be at least one time step")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-
-    system = build_mna(circuit)
-    nodes, branches, node_rows, branch_rows = _resolve_probes(
-        system, circuit, probe_nodes, probe_branches
-    )
-
-    steps = int(np.ceil(t_stop / dt))
-    times = np.arange(steps + 1) * dt
-
-    x = solve_dc(system) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (system.size,):
-        raise ValueError("x0 has the wrong size for this circuit")
-
-    volt = np.empty((len(nodes), steps + 1))
-    curr = np.empty((len(branches), steps + 1))
-    with stage("solve"):
-        lhs, history = _factorize_step(system, dt, method, policy)
-
-        # The whole source trajectory is one incidence-matrix product;
-        # the loop below only does matvecs and back-substitutions.
-        b_all = system.rhs_transient_batch(times)
-        add_counter("rhs_batched_steps", steps + 1)
-
-        _record(volt, curr, 0, x, node_rows, branch_rows)
-        for n in range(1, steps + 1):
-            if method == "trapezoidal":
-                rhs = history @ x + b_all[:, n - 1] + b_all[:, n]
-            else:
-                rhs = history @ x + b_all[:, n]
-            x = lhs.solve(rhs)
-            _record(volt, curr, n, x, node_rows, branch_rows)
-        add_counter("transient_steps", steps)
-
-    return TransientResult(
-        times=times,
-        node_voltages={n: volt[i] for i, n in enumerate(nodes)},
-        branch_currents={b: curr[i] for i, b in enumerate(branches)},
+    return transient_analysis_multi(
+        circuit,
+        t_stop,
+        dt,
+        [{}],
         method=method,
-        dt=dt,
-    )
+        probe_nodes=probe_nodes,
+        probe_branches=probe_branches,
+        policy=policy,
+        x0=x0,
+    )[0]
 
 
 def _factorize_step(
@@ -180,19 +170,24 @@ def transient_analysis_multi(
     probe_nodes: Optional[Sequence[str]] = None,
     probe_branches: Optional[Sequence[str]] = None,
     policy: Optional[FallbackPolicy] = None,
+    x0: Optional[np.ndarray] = None,
 ) -> List[TransientResult]:
     """Integrate one circuit under several source scenarios at once.
 
     Each scenario maps independent-source names to replacement
     :class:`Stimulus` objects (the multi-aggressor / multi-victim sweep
     of a noise analysis); unnamed sources keep their own stimulus, and
-    an empty mapping reproduces :func:`transient_analysis` exactly.
+    an empty mapping is the circuit as written.
 
     The circuit is assembled and the one-step matrix factorized *once*;
     every step then advances all scenarios together through one SuperLU
     back-substitution on a ``(size, num_scenarios)`` block -- the
-    classic structure-sharing multi-RHS win.  Returns one
-    :class:`TransientResult` per scenario, in order.
+    classic structure-sharing multi-RHS win.  Steps before the first
+    sample at which any source leaves ``0.0`` are not integrated (see
+    the module docstring).  ``x0`` is an optional initial solution
+    vector shared by every scenario (default: each scenario's DC
+    operating point).  Returns one :class:`TransientResult` per
+    scenario, in order.
     """
     if t_stop <= 0 or dt <= 0:
         raise ValueError("t_stop and dt must be positive")
@@ -212,63 +207,64 @@ def transient_analysis_multi(
     times = np.arange(steps + 1) * dt
     count = len(scenarios)
 
-    # (steps + 1, size, count): every scenario's full source trajectory,
-    # time axis leading so each step reads one contiguous block.  The
-    # base stimulus matrix is evaluated once and shared; each scenario
-    # re-evaluates only its overridden sources.
-    b_all = system.rhs_transient_batch_multi(times, scenarios)
-    add_counter("rhs_batched_steps", (steps + 1) * count)
+    # One scenario steps on vectors: SuperLU and the sparse matvec cost
+    # measurably less per call on 1-D right-hand sides than on (size, 1)
+    # blocks, and single-scenario runs are many and short.
+    def columns(block: np.ndarray) -> np.ndarray:
+        return block[..., 0] if count == 1 else block
 
-    x = solve_dc(system, rhs=b_all[0])
-    volt = np.empty((count, len(nodes), steps + 1))
-    curr = np.empty((count, len(branches), steps + 1))
+    if x0 is None:
+        b_zero = system.rhs_transient_batch_multi(times[:1], scenarios)[0]
+        x = solve_dc(system, rhs=columns(b_zero))
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (system.size,):
+            raise ValueError("x0 has the wrong size for this circuit")
+        x = columns(np.repeat(x0[:, None], count, axis=1))
+
+    # Steps 1 .. first - 1 map the zero state to itself; integrate from
+    # ``first`` on, reading sources from sample ``first - 1``.
+    quiet = system.quiescent_samples(times, scenarios)
+    first = max(quiet, 1) if not np.any(x) else 1
+    add_counter("transient_quiescent_steps", (first - 1) * count)
+
+    # (samples, size, count): every scenario's source trajectory over
+    # the active window, time axis leading so each step reads one
+    # contiguous block.
+    b_all = columns(
+        system.rhs_transient_batch_multi(times[first - 1:], scenarios)
+    )
+    add_counter("rhs_batched_steps", b_all.shape[0] * count)
+
+    # One gather per step into a step-major trace of the probed rows.
+    rows = np.concatenate([node_rows, branch_rows])
+    trace = np.empty((steps + 1, rows.size) + x.shape[1:])
     with stage("solve"):
         lhs, history = _factorize_step(system, dt, method, policy)
-        _record_block(volt, curr, 0, x, node_rows, branch_rows)
-        for n in range(1, steps + 1):
+        trace[:first] = x[rows]
+        for n in range(first, steps + 1):
+            b_now = b_all[n - first + 1]
             if method == "trapezoidal":
-                rhs = history @ x + b_all[n - 1] + b_all[n]
+                rhs = history @ x + b_all[n - first] + b_now
             else:
-                rhs = history @ x + b_all[n]
+                rhs = history @ x + b_now
             x = lhs.solve(rhs)
-            _record_block(volt, curr, n, x, node_rows, branch_rows)
+            trace[n] = x[rows]
         add_counter("transient_steps", steps * count)
 
+    # Ground probes carry row -1 and gathered a wrapped row: they read 0.
+    trace[:, rows < 0] = 0.0
+    probes = trace.reshape(steps + 1, rows.size, count)
+    offset = len(nodes)
     return [
         TransientResult(
             times=times,
-            node_voltages={n: volt[k, i] for i, n in enumerate(nodes)},
-            branch_currents={b: curr[k, i] for i, b in enumerate(branches)},
+            node_voltages={n: probes[:, i, k] for i, n in enumerate(nodes)},
+            branch_currents={
+                b: probes[:, offset + i, k] for i, b in enumerate(branches)
+            },
             method=method,
             dt=dt,
         )
         for k in range(count)
     ]
-
-
-def _record(
-    volt: np.ndarray,
-    curr: np.ndarray,
-    step: int,
-    x: np.ndarray,
-    node_rows: np.ndarray,
-    branch_rows: np.ndarray,
-) -> None:
-    # One gather per step; ground probes carry row -1, which the mask
-    # zeroes before the wrapped-index value can leak through.
-    volt[:, step] = np.where(node_rows >= 0, x[node_rows], 0.0)
-    curr[:, step] = x[branch_rows]
-
-
-def _record_block(
-    volt: np.ndarray,
-    curr: np.ndarray,
-    step: int,
-    x: np.ndarray,
-    node_rows: np.ndarray,
-    branch_rows: np.ndarray,
-) -> None:
-    # Multi-scenario variant: x is (size, scenarios), targets are
-    # (scenarios, probes, steps); same ground masking as _record.
-    volt[:, :, step] = np.where(node_rows[:, None] >= 0, x[node_rows, :], 0.0).T
-    curr[:, :, step] = x[branch_rows, :].T

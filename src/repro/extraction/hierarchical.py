@@ -80,7 +80,9 @@ _KIND_DENSE_SPILL = 2
 
 @dataclass(frozen=True)
 class HierarchicalConfig:
-    """Tuning knobs of the hierarchical builder.
+    """Tuning knobs of the hierarchical builder: cluster-tree / ACA
+    parameters; ``cutoff=0`` disables compression and reproduces the
+    dense entries bit for bit.
 
     ``leaf_size`` bounds cluster leaves (near-field dense blocks are at
     most ``leaf_size`` square).  ``eta`` is the admissibility parameter:
@@ -397,7 +399,12 @@ def _aca(
 # The operator
 # ----------------------------------------------------------------------
 class LazyInductance:
-    """Hierarchical block low-rank view of one per-axis ``L`` block.
+    """Hierarchical block low-rank view of one per-axis ``L`` block:
+    ``gather(rows, cols)`` / ``gather_stack(windows)`` return exact dense
+    submatrices, ``matvec()`` / ``matmat()`` apply it without
+    materializing, plus ``diagonal()``, ``wire_sums(wire_of,
+    num_wires)``, ``toarray()`` and ``compression_stats()``; picklable
+    and shared-memory-columnable.
 
     Semantically a symmetric ``(n, n)`` matrix in the axis group's local
     index space, stored as a cluster tree plus a directory of dense
@@ -1446,7 +1453,10 @@ def hierarchical_blocks(
     config: HierarchicalConfig = DEFAULT_CONFIG,
     jobs: Optional[int] = None,
 ) -> Dict[Axis, Tuple[List[int], LazyInductance]]:
-    """Per-direction hierarchical operators ``{axis: (indices, op)}``.
+    """Per-direction hierarchical operators ``{axis: (indices, op)}``,
+    the lazy counterpart of ``inductance_blocks``; ``jobs`` fans the
+    plan's kernel evaluation over the process pool through shared-memory
+    pools.
 
     The drop-in counterpart of
     :func:`repro.extraction.inductance.inductance_blocks` for systems

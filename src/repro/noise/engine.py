@@ -717,9 +717,9 @@ def _verify_victim(
 
     Builds a *fresh* model with the aggressor stimuli baked into a
     :func:`attach_multi_aggressor_testbench` (quiet wires have no
-    source at all there) and integrates it with the single-RHS solver
-    -- a genuinely different circuit and code path from the batched
-    escalation tier.
+    source at all there) and integrates it as a one-scenario transient
+    -- a genuinely different circuit, stepped on vectors rather than the
+    batched tier's column block.
     """
     built = build_model(spec, parasitics, cache=cache)
     drives: Dict[int, Stimulus] = {

@@ -145,7 +145,8 @@ def test_columnar_assembly_bit_identical(pair):
     assert np.array_equal(a.rhs_ac(), b.rhs_ac())
     times = np.linspace(0.0, 50e-12, 7)
     assert np.array_equal(
-        a.rhs_transient_batch(times), b.rhs_transient_batch(times)
+        a.rhs_transient_batch_multi(times, [{}]),
+        b.rhs_transient_batch_multi(times, [{}]),
     )
     for t in times:
         assert np.array_equal(a.rhs_transient(float(t)), b.rhs_transient(float(t)))

@@ -5,10 +5,17 @@ workload and asserts the paper's *qualitative* claims (who wins, in
 which direction); the full-size numbers live in the benchmark harness.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.fig2_accuracy import run_fig2
-from repro.experiments.fig4_extraction import run_fig4
+from repro.experiments.fig4_extraction import Fig4Point
 from repro.experiments.fig7_spiral import run_fig7, threshold_for_kept_ratio
 from repro.experiments.fig8_scaling import run_fig8, series, speedup_at
 from repro.experiments.table2_gtvpec import run_table2
@@ -78,12 +85,50 @@ class TestTable3:
         assert rows[3].diff.mean_abs >= rows[2].diff.mean_abs
 
 
+#: Thread-pool variables of the BLAS/OpenMP builds numpy may link.
+_BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+_FIG4_PROGRAM = """
+import json
+from repro.experiments.fig4_extraction import run_fig4
+print(json.dumps([vars(p) for p in run_fig4(sizes=(128, 1024))]))
+"""
+
+
+def _run_fig4_single_threaded():
+    """``run_fig4(sizes=(128, 1024))`` in a fresh single-threaded-BLAS process.
+
+    The timings are milliseconds at 128 bits.  A threaded BLAS on a
+    loaded multi-core host can slow every small dense solve of one
+    process by ~50x (the 128-bit truncation then takes ~0.14 s instead
+    of ~3 ms), which flips the growth comparison; the thread pool size
+    is fixed at BLAS load time, hence the subprocess.
+    """
+    env = dict(os.environ)
+    env.update({name: "1" for name in _BLAS_THREAD_VARS})
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _FIG4_PROGRAM],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    return [Fig4Point(**point) for point in json.loads(done.stdout)]
+
+
 class TestFig4:
     def test_windowing_scales_better(self):
         # The O(N^3) inversion overtakes the O(N b^3) windowing between
         # a few hundred and ~1000 bits on modern LAPACK (the paper's
         # 2003 hardware crossed earlier); assert the crossover shape.
-        points = run_fig4(sizes=(128, 1024))
+        points = _run_fig4_single_threaded()
         assert [p.bits for p in points] == [128, 1024]
         big = points[-1]
         assert big.windowing_seconds < big.truncation_seconds

@@ -14,7 +14,9 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit.transient import _record
+from repro.circuit.netlist import Circuit
+from repro.circuit.sources import dc, step
+from repro.circuit.transient import transient_analysis_multi
 from repro.extraction.inductance import (
     _COLLINEAR_TOL,
     _GMD_CUTOFF,
@@ -341,27 +343,54 @@ class TestWindowingEquivalence:
 # ----------------------------------------------------------------------
 
 
+def _probe_circuit() -> Circuit:
+    circuit = Circuit()
+    circuit.add_voltage_source("in", "0", dc(0.0), name="V1")
+    circuit.add_resistor("in", "a", 50.0)
+    circuit.add_inductor("a", "b", 1e-10, name="L1")
+    circuit.add_capacitor("b", "0", 20e-15)
+    circuit.add_capacitor("b", "c", 10e-15)
+    circuit.add_resistor("c", "0", 100.0)
+    circuit.add_inductor("c", "0", 2e-10, name="L2")
+    return circuit
+
+
 class TestRecordEquivalence:
+    """Probe recording (one gather per step) == a per-name scalar loop."""
+
+    NODES = ("in", "a", "b", "c", "0")
+    BRANCHES = ("V1", "L1", "L2")
+
     @given(
-        st.integers(min_value=1, max_value=12),
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=0, max_value=99),
+        st.lists(st.sampled_from(NODES), min_size=1, max_size=6),
+        st.lists(st.sampled_from(BRANCHES), max_size=4),
+        st.integers(min_value=1, max_value=4),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_matches_scalar_loop(self, nodes, branches, seed):
-        rng = np.random.default_rng(seed)
-        size = nodes + branches + 1
-        x = rng.normal(size=size)
-        node_rows = rng.integers(-1, size, size=nodes)
-        branch_rows = rng.integers(0, size, size=branches)
-        volt = np.zeros((nodes, 3))
-        curr = np.zeros((branches, 3))
-        _record(volt, curr, 1, x, node_rows, branch_rows)
-        expected_volt = np.zeros((nodes, 3))
-        expected_curr = np.zeros((branches, 3))
-        for pos, row in enumerate(node_rows):
-            expected_volt[pos, 1] = x[row] if row >= 0 else 0.0
-        for pos, row in enumerate(branch_rows):
-            expected_curr[pos, 1] = x[row]
-        np.testing.assert_array_equal(volt, expected_volt)
-        np.testing.assert_array_equal(curr, expected_curr)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_scalar_loop(self, nodes, branches, scenarios):
+        circuit = _probe_circuit()
+        drives = [
+            {"V1": step(1.0 + k, rise_time=5e-12, delay=k * 3e-12)}
+            for k in range(scenarios)
+        ]
+        full = transient_analysis_multi(
+            circuit, 40e-12, 1e-12, drives,
+            probe_nodes=self.NODES[:-1], probe_branches=self.BRANCHES,
+        )
+        probed = transient_analysis_multi(
+            circuit, 40e-12, 1e-12, drives,
+            probe_nodes=nodes, probe_branches=branches,
+        )
+        for k in range(scenarios):
+            for name in nodes:
+                expected = (
+                    np.zeros(41) if name == "0"
+                    else full[k].voltage(name).v
+                )
+                np.testing.assert_array_equal(
+                    probed[k].voltage(name).v, expected
+                )
+            for name in branches:
+                np.testing.assert_array_equal(
+                    probed[k].current(name).v, full[k].current(name).v
+                )
